@@ -1,0 +1,12 @@
+"""Make the benchmark modules and the program importable in tests.
+
+Run from the repository root: ``python3 -m pytest perfbench/tests``.
+"""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent.parent
+for path in (HERE, HERE.parent / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
