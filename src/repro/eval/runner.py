@@ -10,10 +10,10 @@ experiment builds — that aggregate becomes the experiment's
 :class:`repro.obs.RunReport` artifact.
 """
 
+import weakref
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, Optional
+from typing import Any, Dict, Iterator, List, Optional
 
-from repro.analysis.annotations import audited
 from repro.core.equinox import EquinoxAccelerator, SimulationReport
 from repro.dse.table1 import equinox_configuration
 from repro.hw.config import AcceleratorConfig
@@ -77,8 +77,11 @@ class ExperimentCapture:
 
     Accelerators are frequently reused across load points, so all
     cumulative collectors (latency samples, op meters, cycle
-    accounting) are read as *deltas* keyed by accelerator identity —
-    observing the same accelerator twice never double-counts.
+    accounting) are read as *deltas* keyed by the accelerator object —
+    observing the same accelerator twice never double-counts. The keys
+    are weak: a collected accelerator drops its entry, so a new one
+    allocated at the same address starts from zero instead of
+    inheriting a stale baseline.
     """
 
     def __init__(self, name: str):
@@ -91,58 +94,20 @@ class ExperimentCapture:
             c: 0.0 for c in CYCLE_CATEGORIES if c != "idle"
         }
         self.windows = 0
-        self._accel_state: Dict[int, Dict[str, float]] = {}
-        self._fault_totals: Dict[int, Dict[str, float]] = {}
-        #: Fault-counter baselines set by :meth:`prime` — a restored
-        #: accelerator carries cumulative counters whose history belongs
-        #: to earlier windows, so its observation must subtract them.
-        self._fault_base: Dict[int, Dict[str, float]] = {}
-        self._remote_serial = 0
+        self._accel_state: weakref.WeakKeyDictionary[
+            EquinoxAccelerator, Dict[str, float]
+        ] = weakref.WeakKeyDictionary()
+        #: One cumulative fault-counter slot per accelerator, in order
+        #: of first observation (remote captures append theirs).
+        self._fault_totals: List[Dict[str, float]] = []
 
-    @audited(
-        "id_value",
-        reason="id(accelerator) keys per-accelerator delta state only; "
-        "the identity never reaches captured values, so the fold is a "
-        "deterministic function of the observed accelerators",
-    )
-    def prime(self, accelerator: EquinoxAccelerator) -> None:
-        """Seed delta baselines from an accelerator's *current* state
-        without folding anything.
-
-        The window-replay path of :mod:`repro.exec.shard` restores an
-        accelerator mid-run: its cumulative collectors (latency history,
-        op meters, cycle accounting, fault counters) already contain
-        every earlier window's work, which belongs to the earlier
-        windows' captures. Priming records those totals as the
-        observation baseline, so the next :meth:`observe` folds exactly
-        the one window this process replays.
-        """
-        state = self._accel_state.setdefault(id(accelerator), {})
-        state["latency_idx"] = float(accelerator.engine.latency.count)
-        state["now"] = accelerator.sim.now
-        for context in self.ops:
-            meter = accelerator.mmu.throughput_by_context.get(context)
-            state[f"ops_{context}"] = (
-                meter.total_ops if meter is not None else 0.0
-            )
-        for category, cycles in (
-            accelerator.mmu.accounting.busy_cycles().items()
-        ):
-            state[f"busy_{category}"] = cycles
-        self._fault_base[id(accelerator)] = {
-            str(k): float(v)
-            for k, v in accelerator.fault_counters.as_dict().items()
-        }
-
-    @audited(
-        "id_value",
-        reason="id(accelerator) keys per-accelerator delta state only; "
-        "the identity never reaches captured values, so the fold is a "
-        "deterministic function of the observed accelerators",
-    )
     def observe(self, accelerator: EquinoxAccelerator) -> None:
         """Fold one accelerator's state since its last observation."""
-        state = self._accel_state.setdefault(id(accelerator), {})
+        state = self._accel_state.get(accelerator)
+        if state is None:
+            state = {"fault_slot": len(self._fault_totals)}
+            self._accel_state[accelerator] = state
+            self._fault_totals.append({})
         config = accelerator.config
 
         latency = accelerator.engine.latency
@@ -168,9 +133,8 @@ class ExperimentCapture:
             state[key] = cycles
 
         self.frequency_hz = config.frequency_hz
-        base = self._fault_base.get(id(accelerator), {})
-        self._fault_totals[id(accelerator)] = {
-            str(k): float(v) - base.get(str(k), 0.0)
+        self._fault_totals[int(state["fault_slot"])] = {
+            str(k): float(v)
             for k, v in accelerator.fault_counters.as_dict().items()
         }
         self.windows += 1
@@ -190,7 +154,7 @@ class ExperimentCapture:
             "ops": dict(self.ops),
             "busy": dict(self.busy),
             "windows": self.windows,
-            "fault_totals": list(self._fault_totals.values()),
+            "fault_totals": list(self._fault_totals),
         }
 
     def merge_state(self, state: Dict[str, Any]) -> None:
@@ -204,13 +168,7 @@ class ExperimentCapture:
         for category, cycles in state["busy"].items():
             self.busy[category] = self.busy.get(category, 0.0) + float(cycles)
         self.windows += int(state["windows"])
-        for totals in state["fault_totals"]:
-            # Remote accelerators are not objects here; give each a
-            # synthetic identity so build_report sums them like locals.
-            self._remote_serial += 1
-            self._fault_totals[-self._remote_serial] = {
-                str(key): float(value) for key, value in totals.items()
-            }
+        self._merge_fault_totals(state["fault_totals"])
 
     def to_state(self) -> Dict[str, Any]:
         """Snapshot-contract spelling of :meth:`state_dict`, plus the
@@ -232,12 +190,16 @@ class ExperimentCapture:
             str(k): float(v) for k, v in state["busy"].items()
         }
         capture.windows = int(state["windows"])
-        for totals in state["fault_totals"]:
-            capture._remote_serial += 1
-            capture._fault_totals[-capture._remote_serial] = {
-                str(key): float(value) for key, value in totals.items()
-            }
+        capture._merge_fault_totals(state["fault_totals"])
         return capture
+
+    def _merge_fault_totals(self, fault_totals: List[Dict[str, Any]]) -> None:
+        # Remote accelerators are not objects here; each gets a slot of
+        # its own so build_report sums them like locals.
+        self._fault_totals.extend(
+            {str(key): float(value) for key, value in totals.items()}
+            for totals in fault_totals
+        )
 
     def build_report(
         self, kind: str = "experiment", config: Optional[Dict[str, Any]] = None
@@ -269,7 +231,7 @@ class ExperimentCapture:
             breakdown["idle"] = max(0.0, 1.0 - busy_total)
 
         faults: Dict[str, float] = {}
-        for totals in self._fault_totals.values():
+        for totals in self._fault_totals:
             for key, value in totals.items():
                 faults[key] = faults.get(key, 0.0) + value
 

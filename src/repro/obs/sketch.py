@@ -28,9 +28,9 @@ def _grow_expansion(partials: List[float], x: float) -> None:
     The expansion represents the *exact* real sum of every term ever
     added (each two-sum step is error-free), so two sketches that
     observed the same multiset of samples carry the same exact sum no
-    matter how the observations were grouped or merged — the property
-    the sharded executor's window merge relies on for byte-identical
-    artifacts. Same algorithm as ``math.fsum``, kept incremental.
+    matter how the observations were grouped or merged — so a capture
+    folded from per-job worker states equals the serial one byte for
+    byte. Same algorithm as ``math.fsum``, kept incremental.
     """
     i = 0
     for y in partials:
@@ -141,8 +141,8 @@ class QuantileSketch:
         self._inf_count += other._inf_count
         self._count += other._count
         # Folding the other expansion term-by-term keeps the merged sum
-        # exact, so merging per-window sketches in any grouping equals
-        # the serial cumulative sketch bit-for-bit.
+        # exact, so merging partial sketches in any grouping equals the
+        # serial cumulative sketch bit-for-bit.
         for partial in other._partials:
             _grow_expansion(self._partials, partial)
         for bound in (other._min, other._max):

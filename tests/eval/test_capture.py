@@ -1,5 +1,6 @@
 """ExperimentCapture: the experiment-level observability aggregate."""
 
+import gc
 import json
 
 import pytest
@@ -65,3 +66,36 @@ class TestObservedCapture:
         capture.observe(accelerator)
         assert capture.latency_us.count == count
         assert capture.ops == ops
+
+
+class TestCollectedAccelerators:
+    """One capture over a sweep whose accelerators are dropped as it
+    goes, the way ``fig7.run``/``fig9.run`` build a fresh accelerator per
+    load point. ``gc.collect`` makes a freed accelerator's address come
+    back within a few points; a capture keyed by that address would
+    treat the newcomer as a re-observation and fold too few samples."""
+
+    ACCELERATORS = 60
+
+    @pytest.fixture(scope="class")
+    def sweep(self):
+        total = 0
+        with capture_run("unit.sweep") as capture:
+            for seed in range(self.ACCELERATORS):
+                accelerator = runner.build_accelerator("500us", "hbfp8")
+                runner.simulate_load_point(
+                    accelerator, 0.5, batches=2, seed=seed
+                )
+                total += accelerator.engine.latency.count
+                del accelerator
+                gc.collect()
+        return capture, total
+
+    def test_every_accelerator_is_folded(self, sweep):
+        capture, total = sweep
+        assert capture.latency_us.count == total
+        assert capture.windows == self.ACCELERATORS
+
+    def test_one_fault_slot_per_accelerator(self, sweep):
+        capture, _ = sweep
+        assert len(capture.state_dict()["fault_totals"]) == self.ACCELERATORS
