@@ -151,8 +151,9 @@ KERNEL_IMPL_IMPORT = _register(Rule(
     "Importing repro.kernels.ref_* / fast_* implementation modules "
     "outside the kernels package bypasses the dispatch registry: the "
     "backend pin, the per-call opt-out and the dispatch counters all "
-    "stop applying — call the public wrappers (bfp_matmul, im2col, "
-    "SystolicArray.run...) or kernels.dispatch() instead.",
+    "stop applying — call the public wrappers "
+    "(BlockFloatTensor.from_float, bfp_matmul) or kernels.dispatch() "
+    "instead.",
 ))
 DIRECT_HEAPQ = _register(Rule(
     "EQX309", "direct-heapq", Severity.ERROR,

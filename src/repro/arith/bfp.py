@@ -7,11 +7,13 @@ datapath: 8-bit mantissas, a 12-bit exponent per tile, and tile-tile
 matrix multiplication performed as an integer GEMM plus an exponent add
 (paper §3.2).
 
-The numerical work lives in :mod:`repro.kernels` as reference/fast
-implementation pairs; the entry points here validate arguments and
-dispatch. Pass ``backend="reference"`` / ``backend="fast"`` to pin one
-call, or use :func:`repro.kernels.set_backend` for the ambient default
-(the two are bit-identical by contract, so this only changes speed).
+Encoding and the tile GEMM live in :mod:`repro.kernels` as
+reference/fast implementation pairs; the entry points here validate
+arguments and dispatch (decoding is one vectorized expression and
+stays inline in :meth:`BlockFloatTensor.to_float`). Pass
+``backend="reference"`` / ``backend="fast"`` to pin one call, or use
+:func:`repro.kernels.set_backend` for the ambient default (the two are
+bit-identical by contract, so this only changes speed).
 """
 
 from dataclasses import dataclass
@@ -170,13 +172,19 @@ class BlockFloatTensor:
         )
         return cls(fmt, mantissas, exponents, logical_shape)
 
-    def to_float(self, backend: "str | None" = None) -> np.ndarray:
+    def to_float(self) -> np.ndarray:
         """Decode back to float32 (logical shape, padding stripped)."""
-        from repro import kernels
-
-        dequantize = kernels.dispatch("bfp.dequantize", backend)
-        return dequantize(
-            self.mantissas, self.exponents, self.fmt, self._logical_shape
+        fmt = self.fmt
+        br, bc = fmt.block_rows, fmt.block_cols
+        pad_rows, pad_cols = self.mantissas.shape
+        tiles = self.mantissas.reshape(pad_rows // br, br, pad_cols // bc, bc)
+        scale = np.exp2(
+            self.exponents.astype(np.float64) - (fmt.mantissa_bits - 1)
+        )
+        decoded = tiles * scale[:, None, :, None]
+        rows, cols = self._logical_shape
+        return decoded.reshape(pad_rows, pad_cols)[:rows, :cols].astype(
+            np.float32
         )
 
     def storage_bits(self) -> int:
@@ -196,9 +204,7 @@ def quantize_bfp(
     values: np.ndarray, fmt: BFPFormat = BFP8, backend: "str | None" = None
 ) -> np.ndarray:
     """Round-trip a float array through BFP (quantize-dequantize)."""
-    return BlockFloatTensor.from_float(values, fmt, backend=backend).to_float(
-        backend=backend
-    )
+    return BlockFloatTensor.from_float(values, fmt, backend=backend).to_float()
 
 
 def bfp_matmul(

@@ -18,7 +18,6 @@ import gc
 import json
 import os
 import platform
-import sys
 import time
 from functools import lru_cache
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -169,7 +168,7 @@ def _kernel_chaos_scenario() -> float:
 
 
 # ----------------------------------------------------------------------
-# Simulator drain-loop bench (sim.drain.reference vs sim.drain.batched)
+# Simulator drain-loop bench (sim.drain.batched)
 #
 # The event-loop microbench: a deterministic soup shaped like one
 # Figure-7 load point's traffic — a Poisson admission process plus two
@@ -178,20 +177,12 @@ def _kernel_chaos_scenario() -> float:
 # fill ~n + rows ≈ 120 cycles to issue-complete, result streaming
 # ~n·w ≈ 1200 cycles to pipeline-drain), so at rate 1/8 the pending
 # set sits ~180 deep — the regime a high-load Figure-7 point runs in.
-# Both arms fire the same events at the same times (``next_gaps`` is
-# stream-equal to scalar draws; completion offsets are constants), so
-# the work proofs are identical by construction; they differ only in
-# which engine scheme runs them:
-#
-# * ``reference`` — the pre-rewrite engine, preserved verbatim in
-#   ``repro.sim.legacy``: an object heap ordered by interpreted
-#   ``Event.__lt__``, one scalar RNG draw per arrival, every event
-#   allocating a keyed handle, peek-then-pop scalar drain;
-# * ``batched`` — the production scheme: block admission via
-#   ``next_gaps`` + bulk ``at_calls`` timeline scheduling (the whole
-#   block's arrivals and closed-form completions pushed at admission,
-#   the per-tile stream-batching pattern), tuple-entry heap, anonymous
-#   lane, batch-drained loop.
+# It runs the production scheme: block admission via ``next_gaps`` +
+# bulk ``at_calls`` timeline scheduling (the whole block's arrivals and
+# closed-form completions pushed at admission, the per-tile
+# stream-batching pattern), tuple-entry heap, anonymous lane,
+# batch-drained loop. The committed BENCH baselines and ``--diff``
+# gate it against earlier revisions of the same loop.
 #
 # Callbacks are shared module-level functions on purpose: the bench
 # isolates the loop, not closure construction.
@@ -203,11 +194,16 @@ _DRAIN_OCCUPANCY = 120.0
 _DRAIN_PIPELINE = 1200.0
 
 
-def _kernel_sim_drain(batched: bool) -> float:
+def _kernel_sim_drain() -> float:
+    from repro.sim.engine import LOOP_BATCHED, Simulator
     from repro.workload.loadgen import PoissonArrivals
 
     arrivals = PoissonArrivals(rate_per_cycle=0.125, seed=50)
     counters = [0, 0, 0]  # arrivals, issues, dones
+    sim = Simulator()
+
+    def _submit() -> None:
+        counters[0] += 1
 
     def _issue() -> None:
         counters[1] += 1
@@ -215,55 +211,33 @@ def _kernel_sim_drain(batched: bool) -> float:
     def _done() -> None:
         counters[2] += 1
 
-    if batched:
-        from repro.sim.engine import LOOP_BATCHED, Simulator
+    admitted = [1]  # arrivals scheduled so far (the seed _tail below)
 
-        sim = Simulator()
+    def _admit_block() -> None:
+        to_admit = min(_DRAIN_BLOCK, _DRAIN_ARRIVALS - admitted[0])
+        if to_admit <= 0:
+            return
+        admitted[0] += to_admit
+        gaps = arrivals.next_gaps(to_admit)
+        times = []
+        t = sim.now
+        for gap in gaps:
+            t += gap
+            times.append(t)
+        sim.at_calls(times[:-1], _submit)
+        sim.at_call(times[-1], _tail)
+        sim.at_calls([t + _DRAIN_OCCUPANCY for t in times], _issue)
+        sim.at_calls([t + _DRAIN_PIPELINE for t in times], _done)
 
-        def _submit() -> None:
-            counters[0] += 1
+    def _tail() -> None:
+        _submit()
+        _admit_block()
 
-        admitted = [1]  # arrivals scheduled so far (the seed _tail below)
-
-        def _admit_block() -> None:
-            to_admit = min(_DRAIN_BLOCK, _DRAIN_ARRIVALS - admitted[0])
-            if to_admit <= 0:
-                return
-            admitted[0] += to_admit
-            gaps = arrivals.next_gaps(to_admit)
-            times = []
-            t = sim.now
-            for gap in gaps:
-                t += gap
-                times.append(t)
-            sim.at_calls(times[:-1], _submit)
-            sim.at_call(times[-1], _tail)
-            sim.at_calls([t + _DRAIN_OCCUPANCY for t in times], _issue)
-            sim.at_calls([t + _DRAIN_PIPELINE for t in times], _done)
-
-        def _tail() -> None:
-            _submit()
-            _admit_block()
-
-        seed_t = arrivals.next_gap()
-        sim.at_call(seed_t, _tail)
-        sim.at_call(seed_t + _DRAIN_OCCUPANCY, _issue)
-        sim.at_call(seed_t + _DRAIN_PIPELINE, _done)
-        sim.run(loop=LOOP_BATCHED)
-    else:
-        from repro.sim.legacy import Simulator as LegacySimulator
-
-        sim = LegacySimulator()
-
-        def _arrive() -> None:
-            counters[0] += 1
-            sim.after(_DRAIN_OCCUPANCY, _issue)
-            sim.after(_DRAIN_PIPELINE, _done)
-            if counters[0] < _DRAIN_ARRIVALS:
-                sim.after(arrivals.next_gap(), _arrive)
-
-        sim.after(arrivals.next_gap(), _arrive)
-        sim.run()
+    seed_t = arrivals.next_gap()
+    sim.at_call(seed_t, _tail)
+    sim.at_call(seed_t + _DRAIN_OCCUPANCY, _issue)
+    sim.at_call(seed_t + _DRAIN_PIPELINE, _done)
+    sim.run(loop=LOOP_BATCHED)
 
     return (
         float(sim.events_processed)
@@ -355,44 +329,6 @@ def _kernel_pair_quantize(backend: str) -> float:
     return float(tensor.mantissas.sum()) + float(tensor.exponents.sum())
 
 
-@lru_cache(maxsize=None)
-def _systolic_setup():
-    import numpy as np
-
-    from repro.hw.systolic import SystolicArray
-
-    rng = np.random.default_rng(47)
-    n, w, rows = 8, 4, 32
-    array = SystolicArray(n, w, rng.standard_normal((n * w, n)))
-    x = rng.standard_normal((rows, n * w))
-    return array, x
-
-
-def _kernel_pair_systolic(backend: str) -> float:
-    """Weight-stationary systolic model, n=8 w=4, 32 activation rows."""
-    array, x = _systolic_setup()
-    outputs, last_cycle, completion = array.run(x, backend=backend)
-    return float(outputs.sum()) + float(last_cycle) + float(completion.sum())
-
-
-@lru_cache(maxsize=None)
-def _im2col_operand():
-    import numpy as np
-
-    return np.random.default_rng(48).standard_normal(
-        (8, 16, 32, 32)
-    ).astype(np.float32)
-
-
-def _kernel_pair_im2col(backend: str) -> float:
-    """im2col lowering of an 8x16x32x32 batch, 3x3 kernel, pad 1."""
-    from repro.hw.im2col import im2col
-
-    cols = im2col(_im2col_operand(), kernel=3, stride=1, padding=1,
-                  backend=backend)
-    return float(abs(cols).sum())
-
-
 def _pair_entries() -> Dict[str, Tuple[str, Callable[[], float]]]:
     pairs: Dict[str, Tuple[str, Callable[[str], float]]] = {
         "kernels.bfp_matmul": (
@@ -401,12 +337,6 @@ def _pair_entries() -> Dict[str, Tuple[str, Callable[[], float]]]:
         ),
         "kernels.quantize": (
             "BFP stochastic quantize 768x768", _kernel_pair_quantize,
-        ),
-        "kernels.systolic": (
-            "systolic model n=8 w=4 rows=32", _kernel_pair_systolic,
-        ),
-        "kernels.im2col": (
-            "im2col 8x16x32x32 k3 p1", _kernel_pair_im2col,
         ),
     }
     entries: Dict[str, Tuple[str, Callable[[], float]]] = {}
@@ -428,15 +358,10 @@ def pinned_kernels() -> Dict[str, Tuple[str, Callable[[], float]]]:
         "eval.load_point": (
             "fig7 load point, Equinox_500us @ 0.5 load", _kernel_load_point,
         ),
-        "sim.drain.reference": (
-            f"event soup {_DRAIN_ARRIVALS} arrivals, keyed lane + "
-            "reference loop",
-            lambda: _kernel_sim_drain(False),
-        ),
         "sim.drain.batched": (
             f"event soup {_DRAIN_ARRIVALS} arrivals, anonymous lane + "
             "batched loop",
-            lambda: _kernel_sim_drain(True),
+            _kernel_sim_drain,
         ),
         "chaos.scenario": (
             "fault-injected run, HBM ECC 5% err", _kernel_chaos_scenario,
@@ -639,20 +564,14 @@ def run_suite(
 
 
 def _speedups(timed: Dict[str, Any]) -> Dict[str, Any]:
-    """Per-pair reference/fast ratios (best-of-repeats, noise-robust).
-
-    ``<base>.reference`` pairs with ``<base>.fast`` (the kernel pairs)
-    or ``<base>.batched`` (the simulator drain loops); either way the
-    record's ``fast_s`` is the non-reference arm.
-    """
+    """Per-pair reference/fast ratios (best-of-repeats, noise-robust):
+    ``<base>.reference`` pairs with ``<base>.fast``."""
     out: Dict[str, Any] = {}
     for name in timed:
         if not name.endswith(".reference"):
             continue
         base = name[: -len(".reference")]
         fast_name = base + ".fast"
-        if fast_name not in timed:
-            fast_name = base + ".batched"
         if fast_name not in timed:
             continue
         reference_s = timed[name]["wall_s"]["min"]

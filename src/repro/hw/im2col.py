@@ -4,8 +4,9 @@ The accelerator's im2col block (paper Figure 3) turns a convolution
 into a GEMM whose activation matrix has one row per output spatial
 position and one column per (kernel position × input channel). This
 module provides both the shape math the compiler needs to tile lowered
-convolutions (ResNet50, Table 2) and a functional reference
-implementation used by tests and the training substrate.
+convolutions (ResNet50, Table 2) and a functional implementation used
+by tests and the training substrate: one strided slice per (ky, kx)
+kernel offset, gathered into the lowered activation matrix.
 """
 
 from dataclasses import dataclass
@@ -64,7 +65,6 @@ def im2col(
     kernel: int,
     stride: int = 1,
     padding: int = 0,
-    backend: "str | None" = None,
 ) -> np.ndarray:
     """Functional im2col for NCHW input.
 
@@ -73,8 +73,6 @@ def im2col(
         kernel: Square kernel size.
         stride: Convolution stride.
         padding: Zero padding on each spatial edge.
-        backend: Kernel backend override for this call
-            (``"reference"`` / ``"fast"``; ``None`` = ambient).
 
     Returns:
         Matrix of shape (batch × out_h × out_w, kernel² × channels),
@@ -83,15 +81,25 @@ def im2col(
     x = np.asarray(images, dtype=np.float32)
     if x.ndim != 4:
         raise ValueError(f"expected NCHW input, got shape {x.shape}")
-    _, _, h, w = x.shape
+    b, c, h, w = x.shape
     out_h = (h + 2 * padding - kernel) // stride + 1
     out_w = (w + 2 * padding - kernel) // stride + 1
     if out_h < 1 or out_w < 1:
         raise ValueError("kernel does not fit in the padded input")
-    from repro import kernels
+    if padding:
+        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
 
-    pack = kernels.dispatch("im2col.pack", backend)
-    return pack(x, kernel, stride, padding)
+    cols = np.empty((b, out_h, out_w, c, kernel, kernel), dtype=np.float32)
+    for ky in range(kernel):
+        for kx in range(kernel):
+            patch = x[
+                :,
+                :,
+                ky : ky + stride * out_h : stride,
+                kx : kx + stride * out_w : stride,
+            ]
+            cols[:, :, :, :, ky, kx] = patch.transpose(0, 2, 3, 1)
+    return cols.reshape(b * out_h * out_w, c * kernel * kernel)
 
 
 class Im2ColUnit:

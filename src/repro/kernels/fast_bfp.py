@@ -9,7 +9,7 @@ Same semantics as :mod:`repro.kernels.ref_bfp`, engineered for speed:
   whenever every K-block dot fits well under 2^53, so dgemm — with
   whatever blocking/FMA order BLAS picks — reproduces the int64 GEMM
   bit for bit (guard below; int64 fallback otherwise).
-* ``quantize``/``dequantize`` skip the padding copy when the shape is
+* ``quantize`` skips the padding copy when the shape is
   tile-aligned, avoid the |x| temporary (``max(max, -min)`` is bit-equal
   to ``abs().max()`` including signed zeros), round with ``np.rint``
   (== ``np.round`` for whole numbers), and take power-of-two scales
@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.arith.bfp import pow2_table, saturation_bounds
 
-__all__ = ["quantize", "dequantize", "matmul"]
+__all__ = ["quantize", "matmul"]
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -78,24 +78,6 @@ def quantize(
     np.clip(mant, fmt.mantissa_min, fmt.mantissa_max, out=mant)
     mantissas = mant.reshape(pad_rows, pad_cols).astype(np.int32)
     return mantissas, exponents.astype(np.int32), (rows, cols)
-
-
-def dequantize(
-    mantissas: np.ndarray,
-    exponents: np.ndarray,
-    fmt,
-    logical_shape: Tuple[int, int],
-) -> np.ndarray:
-    """Vectorized BFP decode; see ``ref_bfp.dequantize``."""
-    br, bc = fmt.block_rows, fmt.block_cols
-    pad_rows, pad_cols = mantissas.shape
-    tiles = mantissas.reshape(pad_rows // br, br, pad_cols // bc, bc)
-    scale = np.ldexp(
-        1.0, (exponents.astype(np.int64) - (fmt.mantissa_bits - 1)).astype(np.int32)
-    )
-    decoded = tiles * scale[:, None, :, None]
-    rows, cols = logical_shape
-    return decoded.reshape(pad_rows, pad_cols)[:rows, :cols].astype(np.float32)
 
 
 def matmul(

@@ -1,12 +1,11 @@
 """Kernel-pair registry and backend selection.
 
-Every hot numerical primitive in the reproduction exists twice: a
-``reference`` implementation — the readable, obviously-correct code
-that defines the semantics — and a ``fast`` implementation that must be
-**bit-identical** to it (values, shared exponents, RNG stream position,
-systolic cycle counts; see :mod:`repro.kernels.parity` for the enforced
-contract). This module holds the pairs and decides, per call, which
-side runs.
+Each registered primitive exists twice: a ``reference``
+implementation — the readable, obviously-correct code that defines the
+semantics — and a ``fast`` implementation that must be
+**bit-identical** to it (values, shared exponents, RNG stream position;
+see :mod:`repro.kernels.parity` for the enforced contract). This module
+holds the pairs and decides, per call, which side runs.
 
 Selection, in precedence order:
 
@@ -35,7 +34,6 @@ from repro.analysis.annotations import audited
 __all__ = [
     "BACKENDS",
     "KernelPair",
-    "compiled_available",
     "dispatch",
     "dispatch_counts",
     "get_backend",
@@ -47,10 +45,8 @@ __all__ = [
     "use_backend",
 ]
 
-#: Recognized backend names, in contract order (reference is the oracle;
-#: compiled requires numba and falls back to fast per-pair when a pair
-#: has no compiled mirror).
-BACKENDS: Tuple[str, ...] = ("reference", "fast", "compiled")
+#: Recognized backend names, in contract order (reference is the oracle).
+BACKENDS: Tuple[str, ...] = ("reference", "fast")
 
 #: Environment override read once at import time.
 ENV_VAR = "REPRO_KERNEL_BACKEND"
@@ -58,18 +54,11 @@ ENV_VAR = "REPRO_KERNEL_BACKEND"
 
 @dataclass(frozen=True)
 class KernelPair:
-    """One primitive's implementations (identical signatures).
-
-    ``compiled`` is optional: only the hottest pairs carry a numba
-    mirror. Requesting the compiled backend on a pair without one runs
-    the fast implementation — the parity contract makes every backend
-    bit-exact, so the fallback changes speed, never results.
-    """
+    """One primitive's implementations (identical signatures)."""
 
     name: str
     reference: Callable
     fast: Callable
-    compiled: Optional[Callable] = None
     doc: str = ""
 
     def implementation(self, backend: str) -> Callable:
@@ -77,8 +66,6 @@ class KernelPair:
             return self.reference
         if backend == "fast":
             return self.fast
-        if backend == "compiled":
-            return self.compiled if self.compiled is not None else self.fast
         raise ValueError(
             f"unknown kernel backend {backend!r}; choose from {BACKENDS}"
         )
@@ -103,29 +90,12 @@ def _check_backend(backend: str) -> str:
     "contract, so the choice never changes a result — and job workers "
     "inherit the parent's environment anyway",
 )
-def compiled_available() -> bool:
-    """Whether the compiled (numba) tier can run on this machine."""
-    from repro.kernels import compiled
-
-    return compiled.available()
-
-
 def _initial_backend() -> str:
-    """The ambient backend at import: env override or the fast default.
-
-    An environment request for the compiled tier on a machine without
-    numba silently falls back to fast — a heterogeneous worker fleet
-    must not crash on the images lacking the optional JIT. Explicit
-    :func:`set_backend` calls raise instead, so tests and interactive
-    use get a loud error.
-    """
+    """The ambient backend at import: env override or the fast default."""
     value = os.environ.get(ENV_VAR)
     if value is None:
         return "fast"
-    backend = _check_backend(value.strip().lower())
-    if backend == "compiled" and not compiled_available():
-        return "fast"
-    return backend
+    return _check_backend(value.strip().lower())
 
 
 _backend = _initial_backend()
@@ -135,15 +105,12 @@ def register_kernel(
     name: str,
     reference: Callable,
     fast: Callable,
-    compiled: Optional[Callable] = None,
     doc: str = "",
 ) -> KernelPair:
     """Register a kernel pair; re-registering a name is an error."""
     if name in _PAIRS:
         raise ValueError(f"kernel {name!r} is already registered")
-    pair = KernelPair(
-        name=name, reference=reference, fast=fast, compiled=compiled, doc=doc
-    )
+    pair = KernelPair(name=name, reference=reference, fast=fast, doc=doc)
     _PAIRS[name] = pair
     return pair
 
@@ -168,19 +135,9 @@ def get_backend() -> str:
 
 
 def set_backend(backend: str) -> str:
-    """Set the ambient backend; returns the previous one.
-
-    Selecting ``"compiled"`` on a machine without numba raises — an
-    explicit request must not silently run something else (only the
-    environment-variable path degrades, see :func:`_initial_backend`).
-    """
+    """Set the ambient backend; returns the previous one."""
     global _backend
     backend = _check_backend(backend)
-    if backend == "compiled" and not compiled_available():
-        raise RuntimeError(
-            "the compiled kernel backend requires numba, which is not "
-            "importable on this machine; install it or use 'fast'"
-        )
     previous = _backend
     _backend = backend
     return previous

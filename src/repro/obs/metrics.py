@@ -23,7 +23,7 @@ so two identically seeded runs serialize byte-identically.
 
 import math
 import re
-from typing import Any, Callable, Dict, Mapping, Optional, Union
+from typing import Any, Callable, Dict, Mapping, Union
 
 from repro.obs.sketch import DEFAULT_RELATIVE_ACCURACY, QuantileSketch
 

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import kernels
 from repro.analysis.cli import main
 from repro.analysis.suite import iter_fixture_artifacts
 
@@ -77,7 +78,8 @@ class TestWholeProgramMode:
 
     def test_real_tree_is_clean_with_coverage_floor(self, capsys):
         code = main([
-            "whole-program", "--min-jobs", "3", "--min-kernels", "5",
+            "whole-program", "--min-jobs", "3",
+            "--min-kernels", str(len(kernels.kernel_names())),
         ])
         out = capsys.readouterr().out
         assert code == 0
@@ -92,6 +94,7 @@ class TestWholeProgramMode:
         coverage = document["coverage"]
         assert coverage["jobs_covered"] == len(coverage["jobs"])
         assert coverage["kernels_covered"] == len(coverage["kernels"])
+        assert coverage["kernels_covered"] == len(kernels.kernel_names())
 
     def test_broken_fixture_fails_the_gate(self, capsys):
         code = main(["whole-program", str(self.BROKEN), "--format", "json"])

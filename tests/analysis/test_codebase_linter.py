@@ -230,7 +230,7 @@ class TestKernelImplImport:
         assert "EQX308" in _ids(lint_source(source, path=CORE_PATH))
 
     def test_eqx308_impl_module_out_of_package(self):
-        source = "from repro.kernels import ref_systolic\n\nR = ref_systolic\n"
+        source = "from repro.kernels import ref_bfp\n\nR = ref_bfp\n"
         assert "EQX308" in _ids(lint_source(source, path=EVAL_PATH))
 
     def test_registry_api_is_sanctioned(self):

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import kernels
 from repro.analysis.suite import repo_source_root
 from repro.analysis.whole_program import analyze_tree, coverage_lines
 
@@ -114,7 +115,7 @@ class TestRealTree:
     def test_kernel_pairs_fully_covered(self, report):
         coverage = report.coverage()
         assert coverage["kernels_covered"] == len(coverage["kernels"])
-        assert coverage["kernels_covered"] >= 5
+        assert coverage["kernels_covered"] == len(kernels.kernel_names())
 
     def test_merge_state_folds_are_seen(self, report):
         assert len(report.coverage()["merge_state"]) >= 2

@@ -342,49 +342,6 @@ class TestAtCalls:
             sim.to_state()
 
 
-class TestLegacyBaseline:
-    """repro.sim.legacy is the perf baseline for sim.drain.reference —
-    it must simulate the same machine as the current engine."""
-
-    def test_trace_equivalent_to_current_engine(self):
-        from repro.sim import legacy
-
-        records = {}
-        for make in (Simulator, legacy.Simulator):
-            sim = make()
-            trace = []
-            handles = {}
-
-            def fire(label):
-                # events_processed is deliberately not sampled here:
-                # the current engine folds the counter in per run/batch
-                # while the legacy loop bumped it per event.
-                trace.append((label, sim.now))
-                if label == "a":
-                    sim.after(2.5, lambda: fire("a-child"))
-                    handles["victim"].cancel()
-
-            handles["victim"] = sim.at(6.0, lambda: fire("victim"))
-            sim.at(1.0, lambda: fire("a"))
-            sim.at(1.0, lambda: fire("b"))
-            sim.after(9.0, lambda: fire("late"))
-            assert sim.run(until=2.0) == STOP_UNTIL
-            assert sim.run(max_events=1) == STOP_MAX_EVENTS
-            stop = sim.run()
-            records[make.__module__] = (
-                trace, stop, sim.now, sim.events_processed
-            )
-        assert records["repro.sim.engine"] == records["repro.sim.legacy"]
-
-    def test_bench_arms_do_identical_work(self):
-        from repro.exec import bench
-
-        suite = bench.pinned_kernels()
-        assert suite["sim.drain.reference"][1]() == (
-            suite["sim.drain.batched"][1]()
-        )
-
-
 class TestAcceleratorEquivalence:
     @pytest.mark.parametrize("backend", ["reference", "fast"])
     def test_load_point_report_identical(self, backend):
